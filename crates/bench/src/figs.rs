@@ -1,11 +1,8 @@
 //! Shared figure runner.
 //!
 //! All six paper figures live here as functions that render into a
-//! `String`; the `fig1`…`fig6` binaries and the `bce fig <n>` subcommand
-//! are thin shims over [`run_fig`]. Keeping the bodies in one module
-//! removes the copy-pasted option handling the per-figure binaries used
-//! to carry and guarantees the CLI and the standalone binaries produce
-//! byte-identical output.
+//! `String`; the `bce fig <n>` subcommand is the one entry point, through
+//! [`run_fig`].
 
 use crate::{fetch_policies, sched_policies, FigOpts};
 use bce_client::{rr_simulate, ClientConfig, FetchPolicy, JobSchedPolicy, RrJob, RrPlatform};
@@ -25,8 +22,7 @@ macro_rules! outln {
     ($out:expr, $($arg:tt)*) => { let _ = writeln!($out, $($arg)*); };
 }
 
-/// The default emulated period for figure `n`, matching what each
-/// standalone binary passes to [`FigOpts::parse`]. Figure 2 is a
+/// The default emulated period for figure `n`. Figure 2 is a
 /// workload snapshot (no emulation); figure 6 needs 60 days because a
 /// 10-day window cannot hold even one of its 11.6-day jobs.
 pub fn default_days(n: u32) -> f64 {
@@ -65,9 +61,9 @@ fn base_scenario(
     opts.scenario.clone().unwrap_or_else(builtin)
 }
 
-/// As [`FigOpts::write_json`], but appending the confirmation line to
-/// `out` (so it lands in order, after the figure body) and reporting
-/// failure as an error instead of exiting the process.
+/// If `--json PATH` was given, write the figure's named tables there as
+/// one JSON object (`{"<name>": [rows...], ...}`), appending the
+/// confirmation line to `out` so it lands after the figure body.
 fn write_json_into(
     out: &mut String,
     opts: &FigOpts,
@@ -486,7 +482,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_days_match_binaries() {
+    fn default_days_per_figure() {
         assert_eq!(default_days(1), 10.0);
         assert_eq!(default_days(2), 0.0);
         assert_eq!(default_days(6), 60.0);

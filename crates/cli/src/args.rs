@@ -1,7 +1,7 @@
 //! Minimal command-line argument handling for the `bce` tool: positional
 //! arguments plus `--flag` and `--key value` options, with typed accessors
-//! and unknown-option detection. Hand-rolled to keep the workspace
-//! dependency-free.
+//! and up-front unknown-option detection. Hand-rolled to keep the
+//! workspace dependency-free.
 
 use std::collections::BTreeMap;
 
@@ -11,7 +11,9 @@ pub struct Args {
     pub positional: Vec<String>,
     options: BTreeMap<String, Vec<String>>,
     flags: Vec<String>,
-    consumed: std::cell::RefCell<Vec<String>>,
+    /// The options the command declared, space separated (see
+    /// [`Args::restrict_to`]); `None` until restricted.
+    declared: Option<&'static str>,
 }
 
 /// An argument-level error with a user-facing message.
@@ -50,19 +52,36 @@ impl Args {
         Ok(args)
     }
 
+    /// Error out on any option or flag outside `declared`, before the
+    /// command does any work (catches typos). Afterwards, reading an
+    /// undeclared name is a bug in the command's declaration.
+    pub fn restrict_to(&mut self, declared: &'static str) -> Result<(), ArgError> {
+        let known = |name: &str| declared.split_whitespace().any(|d| d == name);
+        if let Some(f) = self.flags.iter().find(|f| !known(f)) {
+            return Err(ArgError(format!("unknown flag --{f}")));
+        }
+        if let Some(k) = self.options.keys().find(|k| !known(k)) {
+            return Err(ArgError(format!("unknown option --{k}")));
+        }
+        self.declared = Some(declared);
+        Ok(())
+    }
+
+    fn read(&self, name: &str) {
+        debug_assert!(
+            self.declared.is_none_or(|d| d.split_whitespace().any(|x| x == name)),
+            "--{name} is read but not declared"
+        );
+    }
+
     pub fn flag(&self, name: &str) -> bool {
-        self.consumed.borrow_mut().push(name.to_string());
+        self.read(name);
         self.flags.iter().any(|f| f == name)
     }
 
     pub fn opt(&self, name: &str) -> Option<&str> {
-        self.consumed.borrow_mut().push(name.to_string());
+        self.read(name);
         self.options.get(name).and_then(|v| v.last()).map(|s| s.as_str())
-    }
-
-    pub fn opt_all(&self, name: &str) -> Vec<&str> {
-        self.consumed.borrow_mut().push(name.to_string());
-        self.options.get(name).map_or_else(Vec::new, |v| v.iter().map(|s| s.as_str()).collect())
     }
 
     pub fn opt_parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
@@ -76,22 +95,6 @@ impl Args {
 
     pub fn opt_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
         Ok(self.opt_parse(name)?.unwrap_or(default))
-    }
-
-    /// Error out on options/flags no accessor asked about (catches typos).
-    pub fn reject_unknown(&self) -> Result<(), ArgError> {
-        let seen = self.consumed.borrow();
-        for f in &self.flags {
-            if !seen.contains(f) {
-                return Err(ArgError(format!("unknown flag --{f}")));
-            }
-        }
-        for k in self.options.keys() {
-            if !seen.contains(k) {
-                return Err(ArgError(format!("unknown option --{k}")));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -127,21 +130,20 @@ mod tests {
 
     #[test]
     fn unknown_rejected() {
-        let a = parse("run --days 5 --bogus");
-        let _ = a.opt("days");
-        assert!(a.reject_unknown().is_err());
-        let b = parse("run --days 5 --timeline");
-        let _ = b.opt("days");
-        assert!(b.flag("timeline"));
-        assert!(b.reject_unknown().is_ok());
+        let mut a = parse("run --days 5 --bogus");
+        assert!(a.restrict_to("days").unwrap_err().to_string().contains("--bogus"));
+        let mut b = parse("run --days 5 --timeline");
+        assert!(b.restrict_to("days").unwrap_err().to_string().contains("--timeline"));
+        let mut c = parse("run --days 5 --timeline");
+        assert!(c.restrict_to("days timeline").is_ok());
+        assert!(c.flag("timeline"));
     }
 
     #[test]
-    fn repeated_options_collect() {
+    fn repeated_options_keep_the_last() {
         let a =
             Args::parse(["--sched", "a", "--sched", "b"].iter().map(|s| s.to_string()), &["sched"])
                 .unwrap();
-        assert_eq!(a.opt_all("sched"), vec!["a", "b"]);
-        assert_eq!(a.opt("sched"), Some("b")); // last wins for single access
+        assert_eq!(a.opt("sched"), Some("b"));
     }
 }

@@ -16,7 +16,7 @@ use bce_scenarios::{
     ScenarioSpec, BUILTIN_NAMES,
 };
 use bce_sim::Level;
-use bce_types::{AppClass, Hardware, ProcType, ProjectSpec, SimDuration};
+use bce_types::{AppClass, Hardware, ProcType, ProjectId, ProjectSpec, SimDuration};
 
 pub const HELP: &str = "\
 bce — BOINC client emulator (reproduction of Anderson, 'Emulating
@@ -36,6 +36,7 @@ USAGE:
       --half-life S   REC half-life in seconds (global accounting)
       --deadline-check P   strict | grace:SECS | none (server-side, §4.3)
       --timeline      print the per-instance usage timeline
+      --width N       timeline width in columns (default 96)
       --log           print the scheduling message log
       --seed N        override the scenario seed
 
@@ -68,12 +69,10 @@ USAGE:
   bce export <scenario-ref> [--out FILE]
       write the scenario as a client_state.xml template
 
-  bce validate <scenario-ref>
-      load and validate a scenario, reporting precise errors
-
   bce fleet [--days N] [--threads N] [--scenario REF]
-      cross-host share-enforcement study on a demo heterogeneous fleet;
-      --scenario replaces the demo projects and seed with the
+      cross-host share-enforcement study (§6.2) on a demo heterogeneous
+      fleet: share violation, throughput and per-project split per
+      strategy; --scenario replaces the demo projects and seed with the
       referenced scenario's
 
   bce faults <scenario-ref> [options]
@@ -82,8 +81,15 @@ USAGE:
       --days N        emulated days (default 2)
       --rates LIST    comma-separated failure rates (default 0,0.05,0.1,0.2)
       --mtbf S        also inject host crashes with this mean time between
-                      failures, in seconds
+                      failures, in seconds (43200 = 12 h)
       --seed N        override the scenario seed
+      scenarios/scenario2_transfers.json gives the transfer path real
+      file sizes, so transfer faults are drawn too
+
+  bce emboinc [--quick]
+      server-side campaign study (the EmBOINC direction, §6.1): sweep
+      replication policy x host selection over a 500-workunit campaign
+      on 200 sampled hosts (--quick: 100 on 60)
 
   bce bench [--quick] [--out FILE] [--threads N] [--population N]
       run the standard benchmark scenario set plus a population-executor
@@ -95,11 +101,11 @@ USAGE:
       scenario alongside the standard set)
 
   bce fig <1-6> [--days N] [--quick] [--json FILE] [--checkpoint-every D]
-      regenerate one of the paper's figures (same output as the
-      standalone fig1..fig6 binaries); --checkpoint-every D checkpoints
-      each run every D simulated days under target/checkpoints and
-      resumes automatically after a crash; --scenario REF replaces the
-      figure's base scenario (figures 3-6)
+      regenerate one of the paper's figures and write its CSV under
+      target/figures (--quick caps --days at 1); --checkpoint-every D
+      checkpoints each run every D simulated days under
+      target/checkpoints and resumes automatically after a crash;
+      --scenario REF replaces the figure's base scenario (figures 3-6)
 
   bce serve [options]
       run the hardened emulation daemon (HTTP/1.1 on a bounded worker
@@ -199,80 +205,89 @@ impl From<ArgError> for CliError {
     }
 }
 
-const VALUE_OPTS: &[&str] = &[
-    "days",
-    "sched",
-    "fetch",
-    "half-life",
-    "deadline-check",
-    "seed",
-    "hosts",
-    "out",
-    "width",
-    "rates",
-    "mtbf",
-    "threads",
-    "population",
-    "json",
-    "kind",
-    "component",
-    "since",
-    "until",
-    "limit",
-    "capacity",
-    "jsonl",
-    "checkpoint",
-    "checkpoint-every",
-    "resume",
-    "max-runs",
-    "addr",
-    "workers",
-    "queue-depth",
-    "max-body-kib",
-    "deadline-secs",
-    "max-days",
-    "checkpoint-dir",
-    "chunk",
-    "scenario",
-    "chaos-seed",
-    "segments",
-    "keep-generations",
-    "torn-rename",
-    "enospc",
-    "eio",
-    "power-cut",
-    "read-eio",
-    "corrupt",
-    "dir",
+/// One `bce` subcommand: its name, every option it reads (space
+/// separated), and its body. The declared options are checked before the
+/// body runs, so a typo fails before any work or side effect happens.
+struct Command {
+    name: &'static str,
+    options: &'static str,
+    run: fn(&Args) -> Result<String, CliError>,
+}
+
+/// The boolean options; every other declared option takes a value.
+const FLAGS: &[&str] = &["timeline", "log", "quick"];
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        options: "scenario seed days sched fetch half-life deadline-check timeline width log",
+        run: cmd_run,
+    },
+    Command { name: "compare", options: "scenario seed days threads", run: cmd_compare },
+    Command { name: "scenario", options: "", run: cmd_scenario },
+    Command { name: "campaign", options: "threads out", run: cmd_campaign },
+    Command {
+        name: "population",
+        options: "scenario seed hosts days threads checkpoint checkpoint-every resume max-runs",
+        run: cmd_population,
+    },
+    Command { name: "export", options: "scenario seed out", run: cmd_export },
+    Command { name: "fleet", options: "scenario seed days threads", run: cmd_fleet },
+    Command { name: "faults", options: "scenario seed days rates mtbf", run: cmd_faults },
+    Command { name: "emboinc", options: "quick", run: cmd_emboinc },
+    Command {
+        name: "bench",
+        options: "scenario seed quick out threads population",
+        run: cmd_bench,
+    },
+    Command {
+        name: "fig",
+        options: "scenario seed days quick json checkpoint-every",
+        run: cmd_fig,
+    },
+    Command {
+        name: "serve",
+        options: "scenario addr workers queue-depth max-body-kib deadline-secs max-days \
+                  checkpoint-dir chunk",
+        run: cmd_serve,
+    },
+    Command {
+        name: "chaos",
+        options: "hosts days seed threads chaos-seed segments keep-generations torn-rename \
+                  enospc eio power-cut read-eio corrupt dir",
+        run: cmd_chaos,
+    },
+    Command {
+        name: "trace",
+        options: "scenario seed days sched fetch half-life kind component since until limit \
+                  capacity jsonl",
+        run: cmd_trace,
+    },
 ];
+
+/// Every option that takes a value, across all commands.
+fn value_options() -> Vec<&'static str> {
+    COMMANDS
+        .iter()
+        .flat_map(|c| c.options.split_whitespace())
+        .filter(|o| !FLAGS.contains(o))
+        .collect()
+}
 
 /// Parse and run a full command line (without the program name). Returns
 /// the text to print.
 pub fn dispatch<I: IntoIterator<Item = String>>(raw: I) -> Result<String, CliError> {
-    let args = Args::parse(raw, VALUE_OPTS)?;
-    let cmd = args.positional.first().map(String::as_str).unwrap_or("help");
-    let out = match cmd {
-        "run" => cmd_run(&args)?,
-        "compare" => cmd_compare(&args)?,
-        "scenario" => cmd_scenario(&args)?,
-        "campaign" => cmd_campaign(&args)?,
-        "population" => cmd_population(&args)?,
-        "export" => cmd_export(&args)?,
-        "validate" => cmd_validate(&args)?,
-        "fleet" => cmd_fleet(&args)?,
-        "faults" => cmd_faults(&args)?,
-        "bench" => cmd_bench(&args)?,
-        "fig" => cmd_fig(&args)?,
-        "trace" => cmd_trace(&args)?,
-        "serve" => cmd_serve(&args)?,
-        "chaos" => cmd_chaos(&args)?,
-        "help" | "--help" => {
-            return Ok(HELP.to_string());
-        }
-        other => return Err(CliError::msg(format!("unknown command {other:?}\n\n{HELP}"))),
-    };
-    args.reject_unknown()?;
-    Ok(out)
+    let mut args = Args::parse(raw, &value_options())?;
+    let name = args.positional.first().map(String::as_str).unwrap_or("help");
+    if name == "help" {
+        return Ok(HELP.to_string());
+    }
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| CliError::msg(format!("unknown command {name:?}\n\n{HELP}")))?;
+    args.restrict_to(cmd.options)?;
+    (cmd.run)(&args)
 }
 
 /// The one scenario-reference grammar shared by every command: a builtin
@@ -325,6 +340,23 @@ fn resolve_scenario_flag_only(args: &Args) -> Result<LoadedScenario, CliError> {
         loaded.scenario.seed = seed;
     }
     Ok(loaded)
+}
+
+/// The `--scenario REF` override of a command that runs a builtin
+/// workload by default (`fleet`, `bench`, `fig`), loaded with `resolve`.
+/// `--seed` only re-seeds such an override, so without one it is an
+/// error rather than silently ignored.
+fn scenario_override(
+    args: &Args,
+    resolve: fn(&Args) -> Result<LoadedScenario, CliError>,
+) -> Result<Option<LoadedScenario>, CliError> {
+    if args.opt("scenario").is_some() {
+        return resolve(args).map(Some);
+    }
+    if args.opt("seed").is_some() {
+        return Err(CliError::msg("--seed re-seeds a --scenario REF; give --scenario too".into()));
+    }
+    Ok(None)
 }
 
 /// For commands that run their own fault schedule (or none at all): a
@@ -415,6 +447,10 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     let days: f64 = args.opt_or("days", 10.0)?;
     let want_timeline = args.flag("timeline");
     let want_log = args.flag("log");
+    let width: Option<usize> = args.opt_parse("width")?;
+    if width.is_some() && !want_timeline {
+        return Err(CliError::msg("--width sets the --timeline width; give --timeline too".into()));
+    }
     let mut emu = EmulatorConfig {
         duration: SimDuration::from_days(days),
         record_timeline: want_timeline,
@@ -430,9 +466,8 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     let mut out = format!("{result}");
     if want_timeline {
         if let Some(tl) = &result.timeline {
-            let width: usize = args.opt_or("width", 96usize)?;
             out.push('\n');
-            out.push_str(&render_timeline(tl, width));
+            out.push_str(&render_timeline(tl, width.unwrap_or(96)));
         }
     }
     if want_log {
@@ -625,7 +660,7 @@ fn cmd_population(args: &Args) -> Result<String, CliError> {
     };
     let report = population_campaign(&scenarios, &policies, &emu, threads, &opts)
         .map_err(campaign_cli_error)?;
-    if let Some(rec) = report.recovery.as_ref().filter(|r| r.recovered() || r.legacy) {
+    if let Some(rec) = report.recovery.as_ref().filter(|r| r.recovered()) {
         out.push_str(&format!("# checkpoint recovery: {}\n", rec.describe()));
     }
     if report.resumed_runs > 0 {
@@ -888,22 +923,6 @@ fn cmd_export(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn cmd_validate(args: &Args) -> Result<String, CliError> {
-    let raw = args
-        .positional
-        .get(1)
-        .ok_or_else(|| CliError::msg("expected a scenario reference".into()))?;
-    let loaded = load_source(raw)?;
-    let scenario = &loaded.scenario;
-    Ok(format!(
-        "{}: OK — {} projects, {} initial jobs, host {:.1} GFLOPS\n",
-        loaded.origin,
-        scenario.projects.len(),
-        scenario.initial_queue.len(),
-        scenario.hardware.total_peak_flops() / 1e9
-    ))
-}
-
 fn demo_fleet() -> Fleet {
     Fleet {
         hosts: vec![
@@ -941,10 +960,9 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
     let days: f64 = args.opt_or("days", 1.0)?;
     let threads: usize = args.opt_or("threads", 0usize)?;
     let mut fleet = demo_fleet();
-    if args.opt("scenario").is_some() {
+    if let Some(loaded) = scenario_override(args, resolve_scenario)? {
         // The referenced scenario supplies the project mix and seed; the
         // demo hosts stay (the study is about cross-host shares).
-        let loaded = resolve_scenario(args)?;
         reject_fault_overlay(&loaded, "the fleet study does not inject faults")?;
         fleet.projects = loaded.scenario.projects.clone();
         fleet.seed = loaded.scenario.seed;
@@ -955,26 +973,31 @@ fn cmd_fleet(args: &Args) -> Result<String, CliError> {
         fleet.hosts.len(),
         fleet.projects.len()
     );
+    // "name 12%, ..." over (project, amount) pairs, as shares of `total`.
+    let percents = |pairs: &[(ProjectId, f64)], total: f64, decimals: usize| -> String {
+        let parts: Vec<String> = pairs
+            .iter()
+            .map(|(p, x)| {
+                let name = &fleet.projects.iter().find(|q| q.id == *p).unwrap().name;
+                format!("{name} {:.decimals$}%", 100.0 * x / total.max(1e-9))
+            })
+            .collect();
+        parts.join(", ")
+    };
     for strategy in [ShareStrategy::PerHost, ShareStrategy::CrossHost] {
         let assignment = assign_shares(&fleet, strategy);
         validate_all(host_scenarios(&fleet, &assignment).iter())?;
         let r = run_fleet(&fleet, strategy, ClientConfig::default(), &emu, threads);
         out.push_str(&format!(
-            "{}: fleet share violation {:.4}, total {:.2} TFLOP-days\n",
+            "{}: fleet share violation {:.4}, total {:.2} TFLOP-days ({})\n",
             strategy.name(),
             r.fleet_share_violation,
-            r.total_flops / 1e12 / 86_400.0
+            r.total_flops / 1e12 / 86_400.0,
+            percents(&r.per_project_flops, r.total_flops, 1)
         ));
         for (host, shares) in fleet.hosts.iter().zip(&assignment) {
             let total: f64 = shares.iter().map(|(_, s)| s).sum();
-            let detail: Vec<String> = shares
-                .iter()
-                .map(|(p, s)| {
-                    let name = &fleet.projects.iter().find(|q| q.id == *p).unwrap().name;
-                    format!("{name} {:.0}%", 100.0 * s / total.max(1e-9))
-                })
-                .collect();
-            out.push_str(&format!("  {:<8} {}\n", host.name, detail.join(", ")));
+            out.push_str(&format!("  {:<8} {}\n", host.name, percents(shares, total, 0)));
         }
         out.push('\n');
     }
@@ -1041,8 +1064,10 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
         "RPC fail",
         "xfer fail",
         "crashes",
+        "recovery",
         "fault-waste",
         "wasted",
+        "idle",
     ]);
     let mut identity: Option<bool> = None;
     for (name, cfg) in fault_policies() {
@@ -1071,8 +1096,14 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
                 fm.transient_rpc_failures.to_string(),
                 fm.transfer_failures.to_string(),
                 fm.crashes.to_string(),
+                if fm.recoveries > 0 {
+                    format!("{:.0}s", fm.mean_recovery_secs)
+                } else {
+                    "-".to_string()
+                },
                 format!("{:.4}", fm.fault_wasted_fraction),
                 format!("{:.4}", r.merit.wasted_fraction),
+                format!("{:.4}", r.merit.idle_fraction),
             ]);
         }
     }
@@ -1097,6 +1128,59 @@ fn cmd_faults(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `bce emboinc` — the server-side campaign study (the EmBOINC
+/// direction, §6.1): one project runs a workunit campaign against a
+/// synthetic volunteer population, sweeping the replication/validation
+/// policy and the host-selection strategy, and reporting campaign latency
+/// against wasted replicas.
+fn cmd_emboinc(args: &Args) -> Result<String, CliError> {
+    use bce_emboinc::{run_campaign, HostSelection, PopulationSpec, ReplicationPolicy, Workload};
+
+    let (nhosts, nwus) = if args.flag("quick") { (60, 100) } else { (200, 500) };
+    let mut rng = bce_sim::Rng::stream(2011, "population");
+    let hosts = PopulationSpec { nhosts, ..Default::default() }.sample(&mut rng);
+    let workload = Workload { nworkunits: nwus, ..Default::default() };
+
+    let mut t = Table::new(&[
+        "replication",
+        "selection",
+        "validated",
+        "failed",
+        "mean makespan (d)",
+        "p95 (d)",
+        "replicas",
+        "waste frac",
+    ]);
+    for replication in
+        [ReplicationPolicy::SINGLE, ReplicationPolicy::REDUNDANT, ReplicationPolicy::EAGER]
+    {
+        for selection in
+            [HostSelection::Random, HostSelection::FastestFirst, HostSelection::ReliableFirst]
+        {
+            let r = run_campaign(&hosts, &workload, replication, selection, 7);
+            t.row(&[
+                replication.name(),
+                selection.name().to_string(),
+                r.completed.to_string(),
+                r.failed.to_string(),
+                format!("{:.2}", r.makespan.mean() / 86_400.0),
+                format!("{:.2}", r.makespan_p95 / 86_400.0),
+                r.replicas_issued.to_string(),
+                format!("{:.3}", r.waste_fraction()),
+            ]);
+        }
+    }
+    Ok(format!(
+        "EmBOINC-style server campaign: {nwus} workunits on {nhosts} hosts\n\
+         (log-normal speeds; error/vanish tails; 7-day replica deadline)\n\n\
+         {}\n\
+         expected shapes: R2/Q2 doubles replicas for validation; eager R3/Q1 cuts\n\
+         latency at a waste cost; reliable-first reduces waste, fastest-first\n\
+         reduces makespan while hosts outnumber outstanding replicas.\n",
+        t.render()
+    ))
+}
+
 fn cmd_bench(args: &Args) -> Result<String, CliError> {
     let quick = args.flag("quick");
     let threads: usize = args.opt_or("threads", 0usize)?;
@@ -1108,9 +1192,8 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
     };
     // `--scenario REF` benchmarks that scenario alongside the standard
     // set, through the same resolver as every other command.
-    let extra = match args.opt("scenario") {
-        Some(_) => {
-            let loaded = resolve_scenario(args)?;
+    let extra = match scenario_override(args, resolve_scenario)? {
+        Some(loaded) => {
             reject_fault_overlay(&loaded, "the benchmark measures fault-free throughput")?;
             Some((loaded.origin, loaded.scenario))
         }
@@ -1140,7 +1223,9 @@ fn cmd_bench(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn cmd_fig(args: &Args) -> Result<String, CliError> {
+/// The figure number and [`bce_bench::FigOpts`] a `bce fig` command
+/// line asks for.
+fn fig_opts(args: &Args) -> Result<(u32, bce_bench::FigOpts), CliError> {
     let n: u32 = args
         .positional
         .get(1)
@@ -1150,7 +1235,6 @@ fn cmd_fig(args: &Args) -> Result<String, CliError> {
     let quick = args.flag("quick");
     let mut days: f64 = args.opt_or("days", bce_bench::figs::default_days(n))?;
     if quick {
-        // Same cap FigOpts::parse applies in the standalone binaries.
         days = days.min(1.0);
     }
     let json = args.opt("json").map(std::path::PathBuf::from);
@@ -1161,15 +1245,18 @@ fn cmd_fig(args: &Args) -> Result<String, CliError> {
         }
     }
     // `--scenario REF` replaces the figure's base scenario (figures 3-6).
-    let scenario = match args.opt("scenario") {
-        Some(_) => {
-            let loaded = resolve_scenario_flag_only(args)?;
+    let scenario = match scenario_override(args, resolve_scenario_flag_only)? {
+        Some(loaded) => {
             reject_fault_overlay(&loaded, "figures run fault-free")?;
             Some(loaded.scenario)
         }
         None => None,
     };
-    let opts = bce_bench::FigOpts { days, quick, json, checkpoint_every, scenario };
+    Ok((n, bce_bench::FigOpts { days, quick, json, checkpoint_every, scenario }))
+}
+
+fn cmd_fig(args: &Args) -> Result<String, CliError> {
+    let (n, opts) = fig_opts(args)?;
     // Figures run on the paper's built-in scenarios; validate them with
     // the same typed gate as user submissions before any emulation.
     validate_all(&[
@@ -1334,6 +1421,8 @@ mod tests {
         assert!(run("help").unwrap().contains("USAGE"));
         assert!(run("").unwrap().contains("USAGE"));
         assert!(run("frobnicate").is_err());
+        // `scenario validate` is the one validation path.
+        assert!(run("validate scenario1").unwrap_err().to_string().contains("unknown command"));
     }
 
     #[test]
@@ -1361,6 +1450,55 @@ mod tests {
     fn unknown_option_is_error() {
         let e = run("run scenario1 --days 0.1 --wibble").unwrap_err();
         assert!(e.to_string().contains("wibble"));
+        // Options a command reads only in context are errors out of it.
+        let e = run("run scenario1 --days 0.1 --width 80").unwrap_err();
+        assert!(e.to_string().contains("--timeline"), "{e}");
+        let e = run("fleet --days 0.05 --seed 3").unwrap_err();
+        assert!(e.to_string().contains("--scenario"), "{e}");
+    }
+
+    /// A typo'd option must fail before the daemon binds: the listener
+    /// holds the port, so a bind attempt would fail with a bind error
+    /// (and a successful one would block until SIGTERM).
+    #[test]
+    fn serve_rejects_a_typo_before_binding() {
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap();
+        let e = run(&format!("serve --addr {addr} --wokers 8")).unwrap_err().to_string();
+        assert!(e.contains("unknown flag --wokers"), "{e}");
+    }
+
+    /// A typo'd option must fail before the figure runs: no CSV appears.
+    #[test]
+    fn fig_rejects_a_typo_before_running() {
+        let csv = bce_bench::figures_dir().join("fig3.csv");
+        let _ = std::fs::remove_file(&csv);
+        let e = run("fig 3 --quik").unwrap_err().to_string();
+        assert!(e.contains("unknown flag --quik"), "{e}");
+        assert!(!csv.exists(), "fig 3 ran despite the typo");
+    }
+
+    #[test]
+    fn fig_options_parse() {
+        let fig = |cmd: &str| {
+            let mut args = Args::parse(cmd.split_whitespace().map(String::from), &value_options())?;
+            args.restrict_to(COMMANDS.iter().find(|c| c.name == "fig").unwrap().options)?;
+            fig_opts(&args)
+        };
+        let (n, o) = fig("fig 1 --days 3.5 --json out.json").unwrap();
+        assert_eq!((n, o.days, o.quick), (1, 3.5, false));
+        assert_eq!(o.json.as_deref(), Some(std::path::Path::new("out.json")));
+        assert_eq!(fig("fig 6").unwrap().1.days, 60.0);
+        // --quick caps the horizon, also below an explicit --days.
+        assert_eq!(fig("fig 6 --quick").unwrap().1.days, 1.0);
+        assert_eq!(fig("fig 1 --quick --days 5").unwrap().1.days, 1.0);
+        assert_eq!(fig("fig 1 --checkpoint-every 0.5").unwrap().1.checkpoint_every, Some(0.5));
+        // A missing or malformed value is an error.
+        for bad in
+            ["fig 1 --days", "fig 1 --days abc", "fig 1 --json", "fig 1 --checkpoint-every x"]
+        {
+            assert!(fig(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1378,7 +1516,7 @@ mod tests {
         let p = path.to_str().unwrap();
         let out = run(&format!("export scenario2 --out {p}")).unwrap();
         assert!(out.contains("wrote"), "{out}");
-        let out = run(&format!("validate {p}")).unwrap();
+        let out = run(&format!("scenario validate {p}")).unwrap();
         assert!(out.contains("OK"), "{out}");
         let out = run(&format!("run {p} --days 0.1")).unwrap();
         assert!(out.contains("figures of merit"), "{out}");
@@ -1390,7 +1528,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.xml");
         std::fs::write(&path, "<client_state><project/></client_state>").unwrap();
-        assert!(run(&format!("validate {}", path.to_str().unwrap())).is_err());
+        assert!(run(&format!("scenario validate {}", path.to_str().unwrap())).is_err());
     }
 
     #[test]
@@ -1407,6 +1545,17 @@ mod tests {
         assert!(out.contains("per-host"), "{out}");
         assert!(out.contains("cross-host"), "{out}");
         assert!(out.contains("gpu-box"), "{out}");
+        // The per-project split of delivered FLOPS.
+        assert!(out.contains("TFLOP-days (mixed "), "{out}");
+    }
+
+    #[test]
+    fn emboinc_quick_sweeps_the_policy_grid() {
+        let out = run("emboinc --quick").unwrap();
+        assert!(out.contains("100 workunits on 60 hosts"), "{out}");
+        for label in ["R1/Q1", "R2/Q2", "R3/Q1", "reliable-first", "waste frac"] {
+            assert!(out.contains(label), "missing {label}: {out}");
+        }
     }
 
     #[test]
@@ -1421,6 +1570,7 @@ mod tests {
         let out = run("faults scenario1 --days 0.1 --rates 0,0.3").unwrap();
         assert!(out.contains("graceful degradation"), "{out}");
         assert!(out.contains("fault-waste"), "{out}");
+        assert!(out.contains("recovery") && out.contains("idle"), "{out}");
         assert!(out.contains("JS-LOCAL+JF-ORIG"), "{out}");
         assert!(out.contains("JS-GLOBAL+JF-HYSTERESIS"), "{out}");
         assert!(out.contains("0.30"), "{out}");

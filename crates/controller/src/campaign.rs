@@ -115,9 +115,8 @@ pub struct CampaignOptions {
     /// Write a checkpoint every this many completed runs (0 = only the
     /// final completion checkpoint).
     pub checkpoint_every_runs: usize,
-    /// Resume from the newest *valid* generation under `checkpoint_path`
-    /// (a bare legacy file is version-sniffed as a last resort). A
-    /// missing, mismatched, or all-generations-corrupt store is an error
+    /// Resume from the newest *valid* generation under `checkpoint_path`.
+    /// A missing, mismatched, or all-generations-corrupt store is an error
     /// — silently starting over would discard work the user explicitly
     /// asked to keep.
     pub resume: bool,
@@ -176,9 +175,9 @@ pub struct CampaignReport {
     /// Total runs in the campaign (policies × scenarios).
     pub total_runs: usize,
     /// How the resume opened the store, when it resumed: which
-    /// generation, whether corrupt newer generations were skipped
-    /// ([`RecoveryReport::recovered`]), whether a legacy unframed file
-    /// was loaded. `None` when the campaign did not resume.
+    /// generation, and whether corrupt newer generations were skipped
+    /// ([`RecoveryReport::recovered`]). `None` when the campaign did not
+    /// resume.
     pub recovery: Option<RecoveryReport>,
     /// Mid-flight checkpoint writes that failed (best-effort writes
     /// degrade crash-safety, not the study — but operators should see
@@ -385,8 +384,7 @@ impl CampaignCheckpoint {
     }
 
     /// Read and parse a campaign checkpoint from the store rooted at
-    /// `path`, newest valid generation first (a bare legacy file still
-    /// loads, version-sniffed).
+    /// `path`, newest valid generation first.
     pub fn read_from(path: &Path) -> Result<Self, CampaignError> {
         let store = CheckpointStore::with_real_io(path, DEFAULT_KEEP_GENERATIONS);
         Self::read_store(&store).map(|(ckpt, _)| ckpt)

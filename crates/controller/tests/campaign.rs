@@ -182,7 +182,7 @@ fn resume_after_newest_generation_corruption_is_bit_identical() {
     let recovery = resumed.recovery.expect("resume must report how the checkpoint was opened");
     assert!(recovery.recovered(), "corrupt newest generation must trigger fallback");
     assert_eq!(recovery.rejected.len(), 1);
-    assert_eq!(recovery.opened_generation, Some(gens[gens.len() - 2]));
+    assert_eq!(recovery.opened_generation, gens[gens.len() - 2]);
     // The rejected generation held run 5, so the fallback re-runs it.
     assert_eq!(resumed.resumed_runs, 4);
     assert_eq!(resumed.completed_runs, 12);

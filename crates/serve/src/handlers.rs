@@ -320,8 +320,8 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
             ..Default::default()
         };
         // Resume iff the generation store holds anything — including a
-        // corrupt newest generation (the store falls back) or a legacy
-        // pre-rotation file (version-sniffed).
+        // corrupt newest generation (the store falls back) or a stray
+        // bare file (refused loudly, never a silent fresh start).
         let store = opts.store().expect("checkpoint path was just set");
         let opts = CampaignOptions { resume: store.any_checkpoint_present(), ..opts };
         // A failed checkpoint *write* (CampaignError::Checkpoint on I/O)
@@ -362,7 +362,7 @@ fn campaign(req: &Request, shared: &Shared) -> Response {
         shared.inc(shared.ids.campaign_chunks);
         shared.add(shared.ids.ckpt_write_failures, chunk_report.checkpoint_write_failures);
         shared.add(shared.ids.ckpt_generations_pruned, chunk_report.generations_pruned);
-        if let Some(rec) = chunk_report.recovery.as_ref().filter(|r| r.recovered() || r.legacy) {
+        if let Some(rec) = chunk_report.recovery.as_ref().filter(|r| r.recovered()) {
             shared.inc(shared.ids.ckpt_recoveries);
             eprintln!("bce-serve: campaign {id}: checkpoint recovery: {}", rec.describe());
         }

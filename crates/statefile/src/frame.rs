@@ -24,9 +24,9 @@
 //! at memory speed with a 256-entry table. Cryptographic hashes would
 //! buy tamper resistance we don't need at 4× the cost.
 //!
-//! Legacy checkpoints written before framing are bare XML. [`decode`]
-//! distinguishes them by magic: a buffer not starting with `BCEFRAME`
-//! yields [`FrameError::NotFramed`], and callers sniff it as legacy.
+//! A buffer not starting with `BCEFRAME` (for example bare XML from
+//! before framing) yields [`FrameError::NotFramed`]; readers refuse it
+//! like any other corrupt file.
 
 /// Frame magic. Eight bytes so the version/length fields stay aligned
 /// and an accidental XML payload (`<bce_...`) can never collide.
@@ -41,8 +41,8 @@ pub const FRAME_HEADER_LEN: usize = 28;
 /// Why a buffer failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The buffer does not begin with [`FRAME_MAGIC`] — either a legacy
-    /// unchecksummed checkpoint or not a checkpoint at all.
+    /// The buffer does not begin with [`FRAME_MAGIC`] — an unchecksummed
+    /// file from before framing, or not a checkpoint at all.
     NotFramed,
     /// Framed, but with a version this build does not understand.
     UnsupportedVersion { found: u32, max: u32 },
@@ -121,15 +121,13 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 
 /// Validate a frame and return its payload slice.
 ///
-/// Every failure mode is typed: callers distinguish "legacy file"
-/// ([`FrameError::NotFramed`]) from "corrupt generation" (everything
-/// else), because the first is loadable and the second triggers
-/// fallback to an older generation.
+/// Every failure mode is typed, so a rejection can say whether the file
+/// was never framed ([`FrameError::NotFramed`]) or was framed and then
+/// damaged (everything else).
 pub fn decode(buf: &[u8]) -> Result<&[u8], FrameError> {
     if buf.len() < FRAME_MAGIC.len() || buf[..FRAME_MAGIC.len()] != FRAME_MAGIC {
         // A truncated prefix of the magic itself is indistinguishable
-        // from "some other file"; NotFramed is the safe answer for both
-        // (the store treats an unparseable legacy sniff as corrupt).
+        // from "some other file"; NotFramed is the safe answer for both.
         return Err(FrameError::NotFramed);
     }
     if buf.len() < FRAME_HEADER_LEN {

@@ -19,9 +19,11 @@
 //! * **All-corrupt is fatal.** If generations exist but none validates,
 //!   the store returns [`StoreError::NoValidGeneration`] — it never
 //!   silently restarts from scratch.
-//! * **Legacy files load.** A bare unframed `<base>` file from before
-//!   this format is version-sniffed and opened with
-//!   [`RecoveryReport::legacy`] set, so operators see the deprecation.
+//! * **Bare files are refused.** A `<base>` file without a generation
+//!   suffix is not something the store wrote. It counts as "a checkpoint
+//!   is present", and opening it yields a typed
+//!   [`StoreError::NoValidGeneration`] that names it, so a resume fails
+//!   loudly instead of restarting.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,7 +39,7 @@ pub const DEFAULT_KEEP_GENERATIONS: usize = 3;
 pub enum StoreError {
     /// A filesystem operation failed; carries what, where, and the OS error.
     Io { op: IoOp, path: PathBuf, source: std::io::Error },
-    /// Nothing to open: no generation files and no legacy file.
+    /// Nothing to open: no generation files and no bare base file.
     NoCheckpoint,
     /// Generations exist but every one failed validation. Deliberately
     /// distinct from [`StoreError::NoCheckpoint`]: callers must not
@@ -81,14 +83,12 @@ pub struct RejectedGeneration {
 }
 
 /// What [`CheckpointStore::open_latest_with`] actually did: which
-/// generation it opened, whether it was a legacy unframed file, and
-/// every newer generation it had to reject on the way.
+/// generation it opened and every newer generation it had to reject on
+/// the way.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Generation opened; `None` when a legacy bare file was loaded.
-    pub opened_generation: Option<u64>,
-    /// The opened file predates checksummed framing (deprecated format).
-    pub legacy: bool,
+    /// Generation opened.
+    pub opened_generation: u64,
     /// Newer generations rejected before one validated, newest first.
     pub rejected: Vec<RejectedGeneration>,
 }
@@ -101,10 +101,7 @@ impl RecoveryReport {
 
     /// One-line operator-facing summary.
     pub fn describe(&self) -> String {
-        let opened = match self.opened_generation {
-            Some(g) => format!("generation {g}"),
-            None => "legacy unframed checkpoint (deprecated; rewrite on next save)".to_string(),
-        };
+        let opened = format!("generation {}", self.opened_generation);
         if self.rejected.is_empty() {
             format!("opened {opened}")
         } else {
@@ -135,7 +132,7 @@ pub struct WriteReceipt {
 /// dir/pop.ckpt.2
 /// dir/pop.ckpt.3          newest generation (framed)
 /// dir/pop.ckpt.manifest   hint: latest generation + keep count
-/// dir/pop.ckpt            only if written by a pre-rotation build (legacy)
+/// dir/pop.ckpt            never written; if present, opening fails loudly
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -192,8 +189,8 @@ impl CheckpointStore {
     }
 
     /// Is there anything to resume from — any generation file or a
-    /// legacy bare file? (Corrupt counts as "something": resuming must
-    /// then either recover or fail loudly, never restart silently.)
+    /// bare base file? (Corrupt or bare counts as "something": resuming
+    /// must then either recover or fail loudly, never restart silently.)
     pub fn any_checkpoint_present(&self) -> bool {
         !self.generations_on_disk().unwrap_or_default().is_empty() || self.io.exists(&self.base)
     }
@@ -322,11 +319,7 @@ impl CheckpointStore {
                             Ok(value) => {
                                 return Ok((
                                     value,
-                                    RecoveryReport {
-                                        opened_generation: Some(gen),
-                                        legacy: false,
-                                        rejected,
-                                    },
+                                    RecoveryReport { opened_generation: gen, rejected },
                                 ));
                             }
                         },
@@ -336,55 +329,17 @@ impl CheckpointStore {
             rejected.push(RejectedGeneration { generation: gen, path, reason });
         }
 
-        // No generation validated. A bare legacy file (pre-rotation
-        // build) is still an acceptable source — version-sniffed, loud
-        // about its deprecation via `legacy: true`.
+        // No generation validated. A bare base file is not a generation
+        // this store wrote; name it in the error rather than skip it, so
+        // a resume over it fails instead of starting fresh.
         if self.io.exists(&self.base) {
-            let bytes = self.io.read(&self.base).map_err(|e| StoreError::Io {
-                op: IoOp::Read,
+            rejected.push(RejectedGeneration {
+                generation: 0,
                 path: self.base.clone(),
-                source: e,
-            })?;
-            let (text, legacy) = match frame::decode(&bytes) {
-                Ok(payload) => match std::str::from_utf8(payload) {
-                    Ok(t) => (t.to_string(), false),
-                    Err(_) => {
-                        return Err(self.all_rejected(
-                            rejected,
-                            &self.base.clone(),
-                            "payload is not valid UTF-8",
-                        ))
-                    }
-                },
-                Err(frame::FrameError::NotFramed) => match String::from_utf8(bytes) {
-                    Ok(t) => (t, true),
-                    Err(_) => {
-                        return Err(self.all_rejected(
-                            rejected,
-                            &self.base.clone(),
-                            "legacy file is not valid UTF-8",
-                        ))
-                    }
-                },
-                Err(e) => {
-                    return Err(self.all_rejected(rejected, &self.base.clone(), &format!("{e}")))
-                }
-            };
-            match parse(&text) {
-                Ok(value) => {
-                    return Ok((
-                        value,
-                        RecoveryReport { opened_generation: None, legacy, rejected },
-                    ))
-                }
-                Err(e) => {
-                    return Err(self.all_rejected(
-                        rejected,
-                        &self.base.clone(),
-                        &format!("payload rejected: {e}"),
-                    ))
-                }
-            }
+                reason: "bare file without a generation suffix (unframed checkpoints are \
+                         not read)"
+                    .to_string(),
+            });
         }
 
         if rejected.is_empty() {
@@ -392,20 +347,6 @@ impl CheckpointStore {
         } else {
             Err(StoreError::NoValidGeneration { rejected })
         }
-    }
-
-    fn all_rejected(
-        &self,
-        mut rejected: Vec<RejectedGeneration>,
-        path: &Path,
-        reason: &str,
-    ) -> StoreError {
-        rejected.push(RejectedGeneration {
-            generation: 0,
-            path: path.to_path_buf(),
-            reason: reason.to_string(),
-        });
-        StoreError::NoValidGeneration { rejected }
     }
 
     /// Read the newest valid generation's raw payload without parsing.
@@ -443,8 +384,8 @@ mod tests {
         assert_eq!(s.manifest_latest(), Some(5));
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"payload-5");
-        assert_eq!(report.opened_generation, Some(5));
-        assert!(!report.recovered() && !report.legacy);
+        assert_eq!(report.opened_generation, 5);
+        assert!(!report.recovered());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -471,7 +412,7 @@ mod tests {
 
         let (payload, report) = s.read_latest().unwrap();
         assert_eq!(payload, b"old-good");
-        assert_eq!(report.opened_generation, Some(1));
+        assert_eq!(report.opened_generation, 1);
         assert!(report.recovered());
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(report.rejected[0].generation, 2);
@@ -526,27 +467,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_file_loads_with_deprecation_flag() {
-        let dir = scratch("legacy");
+    fn bare_unframed_file_is_no_valid_generation() {
+        let dir = scratch("bare");
         let s = store(&dir, 3);
         fs::write(dir.join("pop.ckpt"), b"<bce_checkpoint version=\"2\"/>").unwrap();
-        let (bytes, report) = s.read_latest().unwrap();
-        assert_eq!(bytes, b"<bce_checkpoint version=\"2\"/>");
-        assert!(report.legacy);
-        assert_eq!(report.opened_generation, None);
-        assert!(report.describe().contains("deprecated"));
+        assert!(s.any_checkpoint_present());
+        match s.read_latest() {
+            Err(StoreError::NoValidGeneration { rejected }) => {
+                assert_eq!(rejected.len(), 1);
+                assert_eq!(rejected[0].path, dir.join("pop.ckpt"));
+                assert!(rejected[0].reason.contains("unframed"), "{}", rejected[0].reason);
+            }
+            other => panic!("expected NoValidGeneration, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn generations_win_over_legacy_file() {
+    fn generations_win_over_bare_file() {
         let dir = scratch("mixed");
         let s = store(&dir, 3);
-        fs::write(dir.join("pop.ckpt"), b"legacy").unwrap();
+        fs::write(dir.join("pop.ckpt"), b"stray").unwrap();
         s.write(b"framed").unwrap();
         let (bytes, report) = s.read_latest().unwrap();
         assert_eq!(bytes, b"framed");
-        assert!(!report.legacy);
+        assert!(!report.recovered());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -207,14 +207,14 @@ proptest! {
 
         let (payload, report) = store.read_latest().unwrap();
         if damaged {
-            prop_assert_eq!(report.opened_generation, Some(prev));
+            prop_assert_eq!(report.opened_generation, prev);
             prop_assert!(report.recovered());
             prop_assert_eq!(payload, b"generation payload 2".to_vec());
             prop_assert_eq!(report.rejected.len(), 1);
             prop_assert_eq!(report.rejected[0].generation, newest);
             prop_assert!(!report.rejected[0].reason.is_empty());
         } else {
-            prop_assert_eq!(report.opened_generation, Some(newest));
+            prop_assert_eq!(report.opened_generation, newest);
             prop_assert!(!report.recovered());
             prop_assert!(report.rejected.is_empty());
         }

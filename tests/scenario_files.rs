@@ -3,9 +3,9 @@
 //! the four paper scenarios must be *byte-identical* to their builtin
 //! constructors — same canonical JSON, same emulation bit fingerprint.
 
-use boinc_policy_emu::client::ClientConfig;
+use boinc_policy_emu::client::{ClientConfig, NetworkModel};
 use boinc_policy_emu::core::spec::ScenarioSpec;
-use boinc_policy_emu::core::{Emulator, EmulatorConfig, Scenario};
+use boinc_policy_emu::core::{Emulator, EmulatorConfig, FaultConfig, Scenario};
 use boinc_policy_emu::scenarios::{scenario2, scenario3, scenario4, ScenarioSource};
 use boinc_policy_emu::types::SimDuration;
 use std::path::{Path, PathBuf};
@@ -70,7 +70,7 @@ fn all_scenario_files_validate_and_are_print_stable() {
         assert_eq!(spec.to_canonical_json(), text, "{} is not canonical", path.display());
         spec.build().unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
-    assert!(seen >= 7, "expected the 4 paper + 3 family scenario files, found {seen}");
+    assert!(seen >= 8, "expected the 4 paper + 4 family scenario files, found {seen}");
 }
 
 /// The unreliable-hosts family layers a fault overlay; it must survive
@@ -81,4 +81,39 @@ fn unreliable_hosts_overlay_loads_with_faults() {
     let faults = faults.expect("unreliable_hosts.json declares faults");
     assert!(faults.rpc_fail_prob > 0.0);
     assert!(faults.crash_mtbf.is_some());
+}
+
+/// `scenario2_transfers.json` is scenario2 with real file transfers
+/// (4 MB in / 1 MB out per app over a symmetric 1 MB/s link), the input
+/// of the fault study. It must be the canonical dump of exactly that
+/// construction and emulate bit-identically to it, with transfer faults
+/// drawing from the link.
+#[test]
+fn scenario2_transfers_file_is_scenario2_with_transfers() {
+    let mut expected = scenario2();
+    expected.name = "scenario2_transfers".into();
+    for p in &mut expected.projects {
+        for a in &mut p.apps {
+            a.input_bytes = 4e6;
+            a.output_bytes = 1e6;
+        }
+    }
+    expected.network = Some(NetworkModel::symmetric(1e6));
+    let text = read("scenario2_transfers.json");
+    assert_eq!(text, ScenarioSpec::from_scenario(&expected).to_canonical_json());
+
+    let (loaded, faults) = ScenarioSpec::parse(&text).unwrap().build().unwrap();
+    assert!(faults.is_none(), "the fault study sweeps its own rates");
+    let faulty = |s: Scenario| {
+        let cfg = EmulatorConfig {
+            duration: SimDuration::from_hours(12.0),
+            faults: FaultConfig::with_failure_rate(0.1),
+            ..Default::default()
+        };
+        let r = Emulator::new(s, ClientConfig::default(), cfg).run();
+        assert!(r.faults.transfer_failures > 0, "transfers must draw from the fault stream");
+        r.bit_fingerprint()
+    };
+    assert_eq!(fingerprint(loaded.clone()), fingerprint(expected.clone()));
+    assert_eq!(faulty(loaded), faulty(expected));
 }
