@@ -67,6 +67,16 @@ impl Args {
         Ok(())
     }
 
+    /// Error out on a positional argument past the command name and `max`
+    /// more, before the command does any work, so a stray word is never
+    /// silently dropped.
+    pub fn limit_positionals(&self, max: usize) -> Result<(), ArgError> {
+        match self.positional.get(1 + max) {
+            Some(extra) => Err(ArgError(format!("unexpected argument {extra:?}"))),
+            None => Ok(()),
+        }
+    }
+
     fn read(&self, name: &str) {
         debug_assert!(
             self.declared.is_none_or(|d| d.split_whitespace().any(|x| x == name)),
@@ -137,6 +147,14 @@ mod tests {
         let mut c = parse("run --days 5 --timeline");
         assert!(c.restrict_to("days timeline").is_ok());
         assert!(c.flag("timeline"));
+    }
+
+    #[test]
+    fn extra_positionals_rejected() {
+        let a = parse("run file.xml --days 5");
+        assert!(a.limit_positionals(1).is_ok());
+        assert!(a.limit_positionals(0).unwrap_err().to_string().contains("\"file.xml\""));
+        assert!(parse("list").limit_positionals(0).is_ok());
     }
 
     #[test]

@@ -205,11 +205,13 @@ impl From<ArgError> for CliError {
     }
 }
 
-/// One `bce` subcommand: its name, every option it reads (space
-/// separated), and its body. The declared options are checked before the
-/// body runs, so a typo fails before any work or side effect happens.
+/// One `bce` subcommand: its name, how many positional arguments may
+/// follow it, every option it reads (space separated), and its body. The
+/// declared arity and options are checked before the body runs, so a
+/// typo or a stray word fails before any work or side effect happens.
 struct Command {
     name: &'static str,
+    positionals: usize,
     options: &'static str,
     run: fn(&Args) -> Result<String, CliError>,
 }
@@ -220,45 +222,67 @@ const FLAGS: &[&str] = &["timeline", "log", "quick"];
 const COMMANDS: &[Command] = &[
     Command {
         name: "run",
+        positionals: 1,
         options: "scenario seed days sched fetch half-life deadline-check timeline width log",
         run: cmd_run,
     },
-    Command { name: "compare", options: "scenario seed days threads", run: cmd_compare },
-    Command { name: "scenario", options: "", run: cmd_scenario },
-    Command { name: "campaign", options: "threads out", run: cmd_campaign },
+    Command {
+        name: "compare",
+        positionals: 1,
+        options: "scenario seed days threads",
+        run: cmd_compare,
+    },
+    Command { name: "scenario", positionals: 2, options: "", run: cmd_scenario },
+    Command { name: "campaign", positionals: 1, options: "threads out", run: cmd_campaign },
     Command {
         name: "population",
+        positionals: 0,
         options: "scenario seed hosts days threads checkpoint checkpoint-every resume max-runs",
         run: cmd_population,
     },
-    Command { name: "export", options: "scenario seed out", run: cmd_export },
-    Command { name: "fleet", options: "scenario seed days threads", run: cmd_fleet },
-    Command { name: "faults", options: "scenario seed days rates mtbf", run: cmd_faults },
-    Command { name: "emboinc", options: "quick", run: cmd_emboinc },
+    Command { name: "export", positionals: 1, options: "scenario seed out", run: cmd_export },
+    Command {
+        name: "fleet",
+        positionals: 0,
+        options: "scenario seed days threads",
+        run: cmd_fleet,
+    },
+    Command {
+        name: "faults",
+        positionals: 1,
+        options: "scenario seed days rates mtbf",
+        run: cmd_faults,
+    },
+    Command { name: "emboinc", positionals: 0, options: "quick", run: cmd_emboinc },
     Command {
         name: "bench",
+        positionals: 0,
         options: "scenario seed quick out threads population",
         run: cmd_bench,
     },
     Command {
         name: "fig",
+        positionals: 1,
         options: "scenario seed days quick json checkpoint-every",
         run: cmd_fig,
     },
     Command {
         name: "serve",
+        positionals: 0,
         options: "scenario addr workers queue-depth max-body-kib deadline-secs max-days \
                   checkpoint-dir chunk",
         run: cmd_serve,
     },
     Command {
         name: "chaos",
+        positionals: 0,
         options: "hosts days seed threads chaos-seed segments keep-generations torn-rename \
                   enospc eio power-cut read-eio corrupt dir",
         run: cmd_chaos,
     },
     Command {
         name: "trace",
+        positionals: 1,
         options: "scenario seed days sched fetch half-life kind component since until limit \
                   capacity jsonl",
         run: cmd_trace,
@@ -287,7 +311,14 @@ pub fn dispatch<I: IntoIterator<Item = String>>(raw: I) -> Result<String, CliErr
         .find(|c| c.name == name)
         .ok_or_else(|| CliError::msg(format!("unknown command {name:?}\n\n{HELP}")))?;
     args.restrict_to(cmd.options)?;
+    args.limit_positionals(cmd.positionals).map_err(|e| stray_positional(cmd.name, e))?;
     (cmd.run)(&args)
+}
+
+/// A stray positional argument is wrong input (exit 2), not a typo'd
+/// option.
+fn stray_positional(command: &str, e: ArgError) -> CliError {
+    CliError::validation(format!("{command}: {e} (see `bce help`)"))
 }
 
 /// The one scenario-reference grammar shared by every command: a builtin
@@ -514,6 +545,7 @@ fn cmd_scenario(args: &Args) -> Result<String, CliError> {
     let action = args.positional.get(1).map(String::as_str).unwrap_or("list");
     match action {
         "list" => {
+            args.limit_positionals(1).map_err(|e| stray_positional("scenario list", e))?;
             let mut out = String::from("builtin scenarios:\n");
             for name in BUILTIN_NAMES {
                 out.push_str(&format!("  builtin:{name}\n"));
@@ -1499,6 +1531,22 @@ mod tests {
         {
             assert!(fig(bad).is_err(), "{bad}");
         }
+    }
+
+    /// A stray positional word is rejected (exit 2) before the command
+    /// runs, instead of being silently dropped.
+    #[test]
+    fn stray_positionals_are_rejected() {
+        for (cmd, word) in [
+            ("fleet scenario3 --days 0.01", "scenario3"),
+            ("run scenario1 bogus", "bogus"),
+            ("scenario list extra", "extra"),
+        ] {
+            let e = run(cmd).unwrap_err();
+            assert_eq!(e.exit_code, 2, "{cmd}: {e}");
+            assert!(e.message.contains(&format!("unexpected argument {word:?}")), "{cmd}: {e}");
+        }
+        assert!(run("scenario list").is_ok());
     }
 
     #[test]

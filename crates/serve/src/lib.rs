@@ -17,13 +17,18 @@
 //!   clients; malformed and oversized input maps to typed `4xx`; panics
 //!   are quarantined per request (`catch_unwind` at the route layer, the
 //!   supervised executor underneath).
+//! - **No polling.** The acceptor blocks in `accept(2)`; a drain wakes
+//!   it with one connection to its own listener, and SIGTERM/SIGINT
+//!   reach the drain through a self-pipe ([`signal`]). No timed sleep
+//!   sits between a connection arriving and a worker receiving it.
 //! - **Graceful drain.** SIGTERM/SIGINT (or [`ServerHandle::drain`])
 //!   stops admission, finishes admitted work, parks campaigns at a chunk
 //!   boundary with their checkpoint persisted, and exits. A restarted
 //!   daemon resumes a parked campaign bit-identically — the CI smoke
 //!   job diffs the resumed table against an uninterrupted reference.
 //! - **Observable.** `/healthz`, `/readyz`, `/metrics` (the `bce-obs`
-//!   registry), and `/trace` (the last run's typed trace as JSONL).
+//!   registry, with request-latency and queue-wait histograms), and
+//!   `/trace` (the last run's typed trace as JSONL).
 
 pub mod http;
 pub mod queue;

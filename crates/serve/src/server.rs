@@ -3,22 +3,26 @@
 //!
 //! Threading model (documented in DESIGN.md § service architecture):
 //!
-//! - One **acceptor** (the thread that called [`Server::run`]) owns the
-//!   non-blocking listener. It polls `accept(2)` at a short interval so
-//!   it can observe the drain flag and termination signals without ever
-//!   parking in a syscall. Accepted connections go through
-//!   [`AdmissionQueue::try_push`]; rejected ones are shed *by the
-//!   acceptor* with a canned `503 + Retry-After` under a write timeout,
-//!   so a slow shed target cannot stall admission for long.
+//! - One **acceptor** (the thread that called [`Server::run`]) parks in a
+//!   blocking `accept(2)`; nothing on the request path sleeps. Accepted
+//!   connections go through [`AdmissionQueue::try_push`]; rejected ones
+//!   are shed *by the acceptor* with a canned `503 + Retry-After` under a
+//!   write timeout, so a slow shed target cannot stall admission for
+//!   long.
 //! - `workers` **worker threads** block on [`AdmissionQueue::pop`]. Each
-//!   parses under socket read timeouts, routes, and answers. A handler
-//!   panic is quarantined with `catch_unwind` and answered as `500`; the
-//!   worker survives.
-//! - **Drain** (SIGTERM/SIGINT or [`ServerHandle::drain`]): the queue
-//!   closes (new connections shed as `Draining`), workers finish the
-//!   admitted backlog, campaigns cut at the next chunk boundary and
-//!   persist their checkpoint, and `run` returns once every worker exits
-//!   or the drain grace expires.
+//!   records how long the connection waited in the queue, parses under
+//!   socket read timeouts, routes, and answers. A handler panic is
+//!   quarantined with `catch_unwind` and answered as `500`; the worker
+//!   survives.
+//! - **Drain** ([`ServerHandle::drain`], which SIGTERM/SIGINT reach
+//!   through the self-pipe watcher in [`crate::signal`]): the flag is
+//!   set, the queue closes (new connections shed as `Draining`), and
+//!   `drain` connects to the listener once to wake the acceptor out of
+//!   `accept(2)`. The acceptor re-checks the flag after every accept and
+//!   drops that wake connection uncounted. Workers finish the admitted
+//!   backlog, campaigns cut at the next chunk boundary and persist their
+//!   checkpoint, and `run` returns once every worker exits or the drain
+//!   grace expires.
 
 use crate::handlers;
 use crate::http::{self, Response};
@@ -28,7 +32,7 @@ use crate::wall::{WallRetry, ACCEPT_RETRY};
 use bce_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, TraceRecord};
 use std::collections::HashSet;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,8 +76,6 @@ pub struct ServeConfig {
     /// How long `run` waits for workers after drain before giving up on
     /// them (they hold nothing but their own connection by then).
     pub drain_grace: Duration,
-    /// Acceptor poll interval; bounds signal-to-drain latency.
-    pub poll_interval: Duration,
     /// Scenario reference (builtin name or spec/state-file path) used by
     /// `/run` requests that give neither `?scenario=` nor a body.
     pub default_scenario: Option<String>,
@@ -95,7 +97,6 @@ impl Default for ServeConfig {
             campaign_chunk_runs: 8,
             trace_capacity: 4096,
             drain_grace: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(20),
             default_scenario: None,
         }
     }
@@ -139,6 +140,8 @@ pub(crate) struct Ids {
     pub draining: GaugeId,
     pub uptime_seconds: GaugeId,
     pub request_ms: HistogramId,
+    /// Admission to a worker's `pop`: time spent in the admission queue.
+    pub queue_wait_ms: HistogramId,
 }
 
 impl Ids {
@@ -173,6 +176,11 @@ impl Ids {
                 "request_ms",
                 &[1.0, 5.0, 20.0, 100.0, 500.0, 2000.0, 10000.0],
             ),
+            queue_wait_ms: reg.histogram(
+                "serve",
+                "queue_wait_ms",
+                &[0.1, 1.0, 5.0, 20.0, 100.0, 500.0, 2000.0, 10000.0],
+            ),
         }
     }
 }
@@ -180,6 +188,9 @@ impl Ids {
 /// State shared by the acceptor, the workers, and [`ServerHandle`]s.
 pub(crate) struct Shared {
     pub cfg: ServeConfig,
+    /// Where [`ServerHandle::drain`] connects to wake the acceptor: the
+    /// bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     pub draining: AtomicBool,
     metrics: Mutex<MetricsRegistry>,
     pub ids: Ids,
@@ -263,6 +274,11 @@ impl ServerHandle {
     pub fn drain(&self) {
         self.shared.begin_drain();
         self.queue.close();
+        // Wake the acceptor out of `accept(2)`. The flag is already set,
+        // so it drops this connection uncounted. If the connect fails the
+        // listener is gone or its backlog is full; either way the
+        // acceptor is not parked.
+        let _ = TcpStream::connect_timeout(&self.shared.wake_addr, WAKE_CONNECT_TIMEOUT);
     }
 
     pub fn is_draining(&self) -> bool {
@@ -272,19 +288,35 @@ impl ServerHandle {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.metrics_snapshot()
     }
+
+    /// Do both handles refer to the same daemon?
+    pub(crate) fn same_server(&self, other: &ServerHandle) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared)
+    }
 }
+
+/// Bound on the drain's wake connect. On loopback a listening socket
+/// completes the handshake from its backlog at once.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl Server {
     /// Bind the listener and register the metric set. Does not accept
     /// anything until [`Server::run`].
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let mut reg = MetricsRegistry::new();
         let ids = Ids::register(&mut reg);
         let queue = Arc::new(AdmissionQueue::new(cfg.queue_depth));
         let shared = Arc::new(Shared {
             cfg,
+            wake_addr,
             draining: AtomicBool::new(false),
             metrics: Mutex::new(reg),
             ids,
@@ -309,6 +341,7 @@ impl Server {
     /// acceptor.
     pub fn run(self) -> ServeSummary {
         signal::install_termination_handler();
+        let _registration = signal::drain_on_termination(self.handle());
         let Server { listener, shared, queue } = self;
         let workers = bce_controller::resolve_threads(shared.cfg.workers);
 
@@ -319,7 +352,8 @@ impl Server {
             let queue = queue.clone();
             let done_tx = done_tx.clone();
             joins.push(std::thread::spawn(move || {
-                while let Some((stream, _admitted)) = queue.pop() {
+                while let Some((stream, admitted)) = queue.pop() {
+                    shared.observe(shared.ids.queue_wait_ms, ms_since(admitted));
                     serve_connection(&shared, stream);
                     shared.set_gauge(shared.ids.queue_depth, queue.len() as f64);
                 }
@@ -329,12 +363,15 @@ impl Server {
         drop(done_tx);
 
         let mut retry = WallRetry::new(ACCEPT_RETRY);
-        loop {
-            if signal::termination_requested() || shared.is_draining() {
-                break;
-            }
+        while !shared.is_draining() {
             match listener.accept() {
                 Ok((stream, _peer)) => {
+                    if shared.is_draining() {
+                        // The drain's wake connection, or a client that
+                        // raced it: dropped uncounted, like any connection
+                        // still in the backlog when the listener closes.
+                        break;
+                    }
                     retry.succeed();
                     shared.inc(shared.ids.accepted);
                     match queue.try_push(stream) {
@@ -342,22 +379,20 @@ impl Server {
                         Err((stream, why)) => shed(&shared, stream, why),
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(shared.cfg.poll_interval);
-                }
                 Err(_) => {
                     // EMFILE and friends: transient by assumption; back
                     // off on the shared retry curve, never stop accepting.
                     shared.inc(shared.ids.accept_retries);
-                    let delay = retry.fail().unwrap_or(shared.cfg.poll_interval);
+                    let delay = retry
+                        .fail()
+                        .expect("ACCEPT_RETRY has give_up_after: None, so never gives up");
                     std::thread::sleep(delay);
                 }
             }
         }
 
-        // Drain: refuse new work, let the admitted backlog finish.
-        shared.begin_drain();
-        queue.close();
+        // Drained (`drain` set the flag and closed the queue): let the
+        // admitted backlog finish.
         let deadline = Instant::now() + shared.cfg.drain_grace;
         let mut finished = 0usize;
         while finished < workers {
@@ -441,7 +476,11 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.write_all(&response.to_bytes());
     let _ = stream.flush();
     let _ = stream.shutdown(std::net::Shutdown::Both);
-    shared.observe(shared.ids.request_ms, start.elapsed().as_secs_f64() * 1000.0);
+    shared.observe(shared.ids.request_ms, ms_since(start));
+}
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1000.0
 }
 
 pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {

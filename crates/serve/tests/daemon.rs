@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over real sockets: observability endpoints,
 //! load shedding under a concurrent burst, deadline parking, graceful
-//! drain, and bit-identical resume across a daemon restart.
+//! drain, bit-identical resume across a daemon restart, and the
+//! event-driven acceptor (prompt drain wake, no per-request poll).
 
 use bce_controller::{
     population_header, population_study, population_table, standard_policies, standard_population,
@@ -11,6 +12,7 @@ use bce_types::SimDuration;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -245,5 +247,78 @@ fn drain_parks_a_running_campaign_at_a_chunk_boundary() {
     let summary = join.join().expect("server thread");
     assert_eq!(summary.campaigns_parked, 1);
     assert_eq!(summary.workers_abandoned, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Like [`start`], but `run`'s summary arrives on a channel, so a lost
+/// acceptor wake fails the test at a receive timeout instead of hanging
+/// it.
+fn start_watched(cfg: ServeConfig) -> (SocketAddr, ServerHandle, mpsc::Receiver<ServeSummary>) {
+    let server = Server::bind(cfg).expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(server.run()));
+    (addr, handle, rx)
+}
+
+/// One `GET /healthz` under a read timeout, so a daemon that never
+/// answers fails the test instead of hanging it.
+fn healthz(addr: SocketAddr) {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("write request");
+    let mut buf = Vec::new();
+    s.read_to_end(&mut buf).expect("response within the read timeout");
+    assert!(buf.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&buf));
+}
+
+/// `drain()` must wake an acceptor parked in `accept(2)` on an idle
+/// daemon, and the wake connection must not be counted as a client.
+fn idle_drain_returns_promptly(bind: &str, tag: &str) {
+    let dir = scratch_dir(tag);
+    let (addr, handle, done) =
+        start_watched(ServeConfig { addr: bind.into(), ..test_cfg(dir.clone()) });
+    // One answered request: the acceptor is up and back between clients.
+    healthz(SocketAddr::from(([127, 0, 0, 1], addr.port())));
+    handle.drain();
+    let summary = done.recv_timeout(Duration::from_secs(2)).expect("run did not return within 2 s");
+    assert_eq!(
+        summary,
+        ServeSummary { accepted: 1, ..ServeSummary::default() },
+        "the wake connection must go uncounted"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn idle_drain_wakes_the_acceptor_on_loopback() {
+    idle_drain_returns_promptly("127.0.0.1:0", "idle-loopback");
+}
+
+#[test]
+fn idle_drain_wakes_the_acceptor_on_the_unspecified_address() {
+    idle_drain_returns_promptly("0.0.0.0:0", "idle-unspecified");
+}
+
+/// Sequential requests to an idle daemon never wait out a poll: 100 of
+/// them finish in well under a second (a 20 ms poll would cost ~2 s).
+#[test]
+fn sequential_requests_to_an_idle_daemon_do_not_wait() {
+    let dir = scratch_dir("sequential");
+    let (addr, handle, done) = start_watched(test_cfg(dir.clone()));
+    let started = Instant::now();
+    for _ in 0..100 {
+        healthz(addr);
+    }
+    let took = started.elapsed();
+    handle.drain();
+    let summary = done.recv_timeout(Duration::from_secs(2)).expect("run did not return within 2 s");
+    assert_eq!(summary.accepted, 100);
+    assert!(took < Duration::from_secs(1), "100 sequential /healthz took {took:?}");
+    // Every admitted connection's queue wait was observed.
+    let snap = handle.metrics_snapshot();
+    let waits = snap.histograms.iter().find(|(k, _)| k == "serve.queue_wait_ms");
+    assert_eq!(waits.map(|(_, h)| h.count), Some(100));
     let _ = std::fs::remove_dir_all(&dir);
 }
